@@ -1,34 +1,41 @@
 """High-throughput execution layer for solver and simulation sweeps.
 
-Two complementary strategies for the repo's ubiquitous
-grid-of-scenarios pattern:
-
 ``repro.engine.batched``
     Vectorized NumPy kernels that advance S scenarios through one MVA /
     AMVA / MVASD population recursion at once — demand stacks of shape
     ``(S, K)`` or ``(S, N, K)``, per-level work amortized over the whole
-    grid.  Results match the scalar solvers to 1e-10.
+    grid.  Results match the scalar solvers to 1e-10.  Also the three
+    stack containers and the :class:`StackLayout` every codec of them
+    derives from.
 ``repro.engine.sweep``
     Fork-join execution of independent tasks (DES replications,
     pipeline validations, what-if solves): :class:`ScenarioGrid`
     builders, an ordered :func:`parallel_map` over a process pool with a
     serial fallback, and :func:`spawn_seeds` for worker-count-invariant
     seeding.
-``repro.engine.resilience`` / ``repro.engine.faults``
-    Fault tolerance for long sweeps: the :class:`ResilientBackend`
-    degradation chain (sharded → batched → serial) with bounded
-    :class:`RetryPolicy` retries, crash-safe :class:`SweepCheckpoint`
-    journals keyed on scenario fingerprints, per-scenario
-    :class:`ScenarioFailure` isolation, and the deterministic
-    :class:`FaultPlan` injection harness that proves the recovery paths.
-``repro.engine.fabric`` / ``repro.engine.transport``
-    The execution fabric: :class:`WorkPlan` partitioning, the
-    transport-agnostic :class:`Dispatcher` (the staged recovery loop,
-    factored out of the resilient backend), and interchangeable
-    :class:`Transport` implementations — forked local process pools
+``repro.engine.backends`` / ``repro.engine.fabric`` / ``repro.engine.transport``
+    How ``solve_stack`` executes a stack.  Each backend name is a preset
+    over one of two mechanisms:
+
+    ===================  ==========================  =====================  ============================
+    name                 mechanism                   transport              policy
+    ===================  ==========================  =====================  ============================
+    ``serial``           :class:`InProcessBackend`   —                      per-scenario scalar loop
+    ``batched``          :class:`InProcessBackend`   —                      one vectorized kernel call
+    ``process-sharded``  :class:`Dispatcher`         local processes        no retries, no shard timeout
+    ``resilient``        :class:`Dispatcher`         local processes        caller's :class:`RetryPolicy`
+    ``remote``           :class:`Dispatcher`         ``repro worker`` hosts caller's :class:`RetryPolicy`
+    ===================  ==========================  =====================  ============================
+
+    The :class:`Dispatcher` runs a :class:`WorkPlan` through the staged
+    sharded → batched → serial → isolate degradation chain over a
+    :class:`Transport` — forked local processes
     (:class:`LocalProcessTransport`) or a fleet of ``repro worker``
-    hosts over the serve protocol (:class:`RemoteTransport`, behind
-    ``backend="remote"`` / :class:`RemoteBackend`).
+    hosts over the serve protocol (:class:`RemoteTransport`).
+``repro.engine.resilience`` / ``repro.engine.faults``
+    :class:`RetryPolicy` knobs, crash-safe :class:`SweepCheckpoint`
+    journals keyed on scenario fingerprints, and the deterministic
+    :class:`FaultPlan` injection harness that proves the recovery paths.
 
 See ``benchmarks/bench_perf01_batch_speedup.py`` for the measured
 speedups and the `repro sweep-grid` CLI subcommand for the command-line
@@ -36,19 +43,21 @@ surface.
 """
 
 from .backends import (
-    BatchedBackend,
     ExecutionBackend,
+    InProcessBackend,
     ProcessShardedBackend,
-    SerialBackend,
     backend_names,
     get_backend,
     shard_bounds,
+    solve_isolated,
+    solve_isolated_batched,
 )
 from .batched import (
     BatchedMultiClassResult,
     BatchedMultiClassTrajectory,
     BatchedMVAResult,
     ScenarioFailure,
+    StackLayout,
     batched_exact_multiclass,
     batched_exact_mva,
     batched_ld_mva,
@@ -59,13 +68,7 @@ from .batched import (
 )
 from .fabric import Dispatcher, RemoteBackend, WorkPlan, WorkShard
 from .faults import Fault, FaultPlan, InjectedFault
-from .resilience import (
-    ResilientBackend,
-    RetryPolicy,
-    SweepCheckpoint,
-    solve_isolated,
-    solve_isolated_batched,
-)
+from .resilience import RetryPolicy, SweepCheckpoint
 from .supervisor import (
     CircuitBreaker,
     CommandLauncher,
@@ -86,7 +89,6 @@ from .transport import (
 )
 
 __all__ = [
-    "BatchedBackend",
     "BatchedMVAResult",
     "BatchedMultiClassResult",
     "BatchedMultiClassTrajectory",
@@ -97,6 +99,7 @@ __all__ = [
     "Fault",
     "FaultPlan",
     "FleetSupervisor",
+    "InProcessBackend",
     "InjectedFault",
     "Launcher",
     "LocalLauncher",
@@ -104,11 +107,10 @@ __all__ = [
     "ProcessShardedBackend",
     "RemoteBackend",
     "RemoteTransport",
-    "ResilientBackend",
     "RetryPolicy",
     "ScenarioFailure",
     "ScenarioGrid",
-    "SerialBackend",
+    "StackLayout",
     "StaticMembership",
     "SweepCheckpoint",
     "Transport",

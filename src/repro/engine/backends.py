@@ -1,28 +1,22 @@
-"""Pluggable execution backends for ``solve_stack``.
+"""Execution backends for ``solve_stack``: five names, two mechanisms.
 
 The facade decides *what* to solve (method selection, validation,
-caching); a backend decides *how* the stack is executed:
+caching); a backend decides *how* the stack is executed.  Every backend
+name is a preset that :func:`get_backend` maps onto one of two
+mechanisms:
 
-``serial``
-    The per-scenario scalar loop, stacked into one
-    :class:`~repro.engine.batched.BatchedMVAResult`.  Works for every
-    trajectory method; the fallback when no batched kernel exists.
-``batched``
-    One vectorized :mod:`repro.engine.batched` recursion advancing all
-    scenarios together.  Requires the method to register a
-    ``batched_kernel``.
-``process-sharded``
-    Splits the stack into contiguous sub-stacks, solves each in a
-    :func:`repro.engine.sweep.parallel_map` worker process (each worker
-    runs the method's best in-process backend), and reassembles the
-    parts into a single result.  The scenario list rides to the workers
-    as the fork-inherited payload, so scenarios with unpicklable demand
-    callables shard fine; only the chunk *bounds* and the result arrays
-    cross the process boundary.
+==================  ========================  =====================  ==============================
+name                mechanism                 transport              policy
+==================  ========================  =====================  ==============================
+``serial``          :class:`InProcessBackend`  —                      per-scenario scalar loop
+``batched``         :class:`InProcessBackend`  —                      one vectorized kernel call
+``process-sharded`` :class:`Dispatcher`        local processes        no retries, no shard timeout
+``resilient``       :class:`Dispatcher`        local processes        the caller's ``RetryPolicy``
+``remote``          :class:`Dispatcher`        ``repro worker`` hosts the caller's ``RetryPolicy``
+==================  ========================  =====================  ==============================
 
-All three produce trajectories that agree to ≤1e-10 — the parity suite
-in ``tests/test_backends.py`` pins serial vs batched vs sharded for
-every registered method with a kernel.
+Every preset produces trajectories that agree to ≤1e-10 — the parity
+suite in ``tests/test_backends.py`` pins them against each other.
 
 This module must not import :mod:`repro.solvers` at module scope (the
 solvers package imports the engine); worker entry points import the
@@ -42,13 +36,17 @@ from .batched import (
     BatchedMultiClassResult,
     BatchedMultiClassTrajectory,
     BatchedMVAResult,
+    ScenarioFailure,
     batched_exact_multiclass,
     batched_exact_mva,
     batched_ld_mva,
     batched_multiclass_mvasd,
     batched_mvasd,
     batched_schweitzer_amva,
+    mix_populations,
 )
+from .fabric import Dispatcher, RemoteBackend
+from .resilience import RetryPolicy
 from .sweep import resolve_workers
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids the import cycle
@@ -56,14 +54,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids the import cycle
     from ..solvers.scenario import Scenario
 
 __all__ = [
-    "BatchedBackend",
     "ExecutionBackend",
+    "InProcessBackend",
     "ProcessShardedBackend",
-    "SerialBackend",
     "backend_names",
     "get_backend",
     "scenario_offset",
     "shard_bounds",
+    "solve_isolated",
+    "solve_isolated_batched",
 ]
 
 
@@ -82,66 +81,126 @@ class ExecutionBackend(Protocol):
         ...  # pragma: no cover - protocol
 
 
-class SerialBackend:
-    """Per-scenario scalar loop, stacked into one batched container."""
+def _failure_record(
+    scenario: "Scenario", index: int, solver: str, exc: BaseException, retries: int
+) -> ScenarioFailure:
+    try:
+        fingerprint = scenario.fingerprint()
+    except Exception:
+        # A demand model broken enough to fail fingerprinting still gets
+        # a record — the index and error keep it actionable.
+        fingerprint = "<unavailable>"
+    return ScenarioFailure(
+        index=index,
+        fingerprint=fingerprint,
+        solver=solver,
+        error=f"{type(exc).__name__}: {exc}",
+        retries=retries,
+    )
 
-    name = "serial"
 
-    def run(self, spec, scenarios, options):
-        results = []
-        for i, sc in enumerate(scenarios):
-            faults.maybe_inject("kernel", scenario=_scenario_offset() + i)
-            results.append(spec.solve(sc, **options))
-        if spec.returns == "multiclass":
-            return self._stack_multiclass(spec, scenarios, results)
-        demands = [r.demands_used for r in results]
-        return BatchedMVAResult(
-            populations=results[0].populations,
-            throughput=np.stack([r.throughput for r in results]),
-            response_time=np.stack([r.response_time for r in results]),
-            queue_lengths=np.stack([r.queue_lengths for r in results]),
-            residence_times=np.stack([r.residence_times for r in results]),
-            utilizations=np.stack([r.utilizations for r in results]),
-            station_names=results[0].station_names,
-            think_times=np.array([r.think_time for r in results]),
-            # The concrete scalar label ("stacked-linearizer-amva", not the
-            # registry alias) — cache keys and bench reports depend on it.
-            solver=f"stacked-{results[0].solver}",
-            demands_used=None if any(d is None for d in demands) else np.stack(demands),
-            backend=self.name,
-        )
+def solve_isolated(
+    spec: "SolverSpec",
+    scenarios: Sequence["Scenario"],
+    options: Mapping[str, Any],
+    retries: int = 0,
+    isolate: bool = True,
+):
+    """The per-scenario scalar loop, stacked into one batched container.
 
-    def _stack_multiclass(self, spec, scenarios, results):
+    Works for every trajectory and multi-class method.  With
+    ``isolate=False`` the first failure propagates — that is the
+    ``serial`` backend.  Otherwise failed scenarios contribute NaN rows
+    plus a :class:`ScenarioFailure` record, and ``retries`` stamps the
+    records with how many recovery attempts preceded isolation.
+    """
+    scenarios = list(scenarios)
+    offset = _scenario_offset()
+    results: dict[int, Any] = {}
+    failures: list[ScenarioFailure] = []
+    for i, sc in enumerate(scenarios):
+        try:
+            faults.maybe_inject("kernel", scenario=offset + i)
+            results[i] = spec.solve(sc, **options)
+        except Exception as exc:
+            if not isolate:
+                raise
+            failures.append(_failure_record(sc, i, spec.name, exc, retries))
+    return _stack_scalar_results(spec, scenarios, results, failures)
+
+
+def _stack_scalar_results(spec, scenarios, results, failures):
+    """Stack per-scenario scalar results along the container's layout.
+
+    Scenarios missing from ``results`` (failed) get NaN rows.  The
+    ``given`` fields are not read row by row from the scalar results:
+    the shared ones come from the first survivor, or from the scenario
+    description when nothing survived.
+    """
+    first_sc = scenarios[0]
+    first = next(iter(results.values()), None)
+    n = first_sc.max_population
+    if spec.returns != "multiclass":
+        cls = BatchedMVAResult
+        # The concrete scalar label ("stacked-linearizer-amva", not the
+        # registry alias) — cache keys and bench reports depend on it.
+        solver = f"stacked-{first.solver}" if first is not None else spec.name
+        given = {
+            "populations": first.populations if first is not None else np.arange(1, n + 1),
+            "think_times": np.array([sc.think for sc in scenarios]),
+        }
+    else:
         # Multi-class scalar results carry no per-result solver label;
         # the registry name is the concrete one.
         solver = f"stacked-{spec.name}"
-        first = results[0]
-        if hasattr(first, "totals"):  # MultiClassTrajectory
-            return BatchedMultiClassTrajectory(
-                class_names=first.class_names,
-                station_names=first.station_names,
-                totals=first.totals,
-                populations=first.populations,
-                throughput=np.stack([r.throughput for r in results]),
-                response_time=np.stack([r.response_time for r in results]),
-                utilizations=np.stack([r.utilizations for r in results]),
-                think_times=np.asarray(first.think_times, dtype=float),
-                solver=solver,
-                backend=self.name,
-            )
-        return BatchedMultiClassResult(
-            populations=first.populations,
-            class_names=scenarios[0].class_names,
-            throughput=np.stack([r.throughput for r in results]),
-            response_time=np.stack([r.response_time for r in results]),
-            queue_lengths=np.stack([r.queue_lengths for r in results]),
-            queue_lengths_by_class=np.stack([r.queue_lengths_by_class for r in results]),
-            utilizations=np.stack([r.utilizations for r in results]),
-            station_names=first.station_names,
-            think_times=np.asarray(first.think_times, dtype=float),
-            solver=solver,
-            backend=self.name,
+        given = {
+            "class_names": first_sc.class_names,
+            "think_times": np.asarray(first_sc.class_think_times, dtype=float),
+        }
+        trajectory = (
+            hasattr(first, "totals")
+            if first is not None
+            else spec.batched_kernel == "multiclass-mvasd"
         )
+        if trajectory:
+            cls = BatchedMultiClassTrajectory
+            if first is not None:
+                given.update(totals=first.totals, populations=first.populations)
+            else:
+                weights = np.array(first_sc.class_populations, dtype=float)
+                given.update(
+                    totals=np.arange(1, n + 1),
+                    populations=mix_populations(weights / weights.sum(), n),
+                )
+        else:
+            cls = BatchedMultiClassResult
+            given["populations"] = first_sc.class_populations
+    dims = {
+        "n": n,
+        "t": n,
+        "k": len(first_sc.station_names),
+        "c": len(first_sc.classes) if first_sc.is_multiclass else 0,
+    }
+    columns: dict[str, Any] = {}
+    for name, letters in cls.layout.stacked.items():
+        if name in given:
+            continue
+        rows = {i: getattr(r, name, None) for i, r in results.items()}
+        if name == "demands_used" and (not rows or any(v is None for v in rows.values())):
+            columns[name] = None
+            continue
+        column = np.full((len(scenarios), *(dims[d] for d in letters)), np.nan)
+        for i, row in rows.items():
+            column[i] = row
+        columns[name] = column
+    return cls(
+        station_names=first_sc.station_names,
+        solver=solver,
+        backend="serial",
+        failures=tuple(failures),
+        **given,
+        **columns,
+    )
 
 
 def _kernel_input(spec: "SolverSpec", scenario: "Scenario") -> np.ndarray:
@@ -250,21 +309,81 @@ def _run_kernel(spec, scenarios, rows, options, mask=None):
     )
 
 
-class BatchedBackend:
-    """One vectorized engine recursion for the whole stack."""
+def solve_isolated_batched(
+    spec: "SolverSpec",
+    scenarios: Sequence["Scenario"],
+    options: Mapping[str, Any],
+    retries: int = 0,
+):
+    """Masked-kernel isolation: failed rows NaN, healthy rows stay batched.
 
-    name = "batched"
+    Probes every scenario's kernel input independently (the injection
+    point and the place bad demand models blow up); scenarios whose
+    probe fails are masked out of the single vectorized kernel call
+    with a placeholder row, so surviving scenarios keep batched speed.
+    Falls back to :func:`solve_isolated` if the masked kernel call
+    itself still fails.
+    """
+    scenarios = list(scenarios)
+    offset = _scenario_offset()
+    rows: list[np.ndarray] = []
+    mask = np.ones(len(scenarios), dtype=bool)
+    failures: list[ScenarioFailure] = []
+    for i, sc in enumerate(scenarios):
+        try:
+            faults.maybe_inject("kernel", scenario=offset + i)
+            row = np.asarray(_kernel_input(spec, sc), dtype=float)
+            if not np.isfinite(row).all():
+                raise ValueError("non-finite demands")
+            rows.append(row)
+        except Exception as exc:
+            mask[i] = False
+            rows.append(np.ones(_kernel_input_shape(spec, sc)))
+            failures.append(_failure_record(sc, i, spec.name, exc, retries))
+    try:
+        result = _run_kernel(
+            spec, scenarios, rows, options, mask=None if mask.all() else mask
+        )
+    except Exception:
+        # The kernel failed on the surviving rows too (or the probe
+        # missed a poison the full recursion hits) — degrade all the way.
+        return solve_isolated(spec, scenarios, options, retries=retries)
+    return replace(result, backend="batched", failures=tuple(failures))
+
+
+class InProcessBackend:
+    """``serial`` and ``batched``: the whole stack solved in this process.
+
+    ``batched`` is one vectorized :mod:`repro.engine.batched` recursion
+    advancing all scenarios together (the method must register a
+    ``batched_kernel``); ``serial`` is the per-scenario scalar loop of
+    :func:`solve_isolated`.  With ``errors="isolate"`` a failing kernel
+    call falls back to :func:`solve_isolated_batched`, and the loop
+    records failures instead of raising the first one.
+    """
+
+    def __init__(self, name: str = "batched", errors: str = "raise") -> None:
+        self.name = name
+        self.errors = errors
 
     def run(self, spec, scenarios, options):
-        if faults.active_plan() is not None:
-            # A poisoned scenario takes the whole vectorized recursion
-            # down with it — exactly the failure mode errors="isolate"
-            # and the resilient degradation chain exist to contain.
-            offset = _scenario_offset()
-            for i in range(len(scenarios)):
-                faults.maybe_inject("kernel", scenario=offset + i)
-        rows = [_kernel_input(spec, sc) for sc in scenarios]
-        result = _run_kernel(spec, scenarios, rows, options)
+        isolate = self.errors == "isolate"
+        if self.name == "serial":
+            return solve_isolated(spec, scenarios, options, isolate=isolate)
+        try:
+            if faults.active_plan() is not None:
+                # A poisoned scenario takes the whole vectorized recursion
+                # down with it — exactly the failure mode errors="isolate"
+                # and the dispatcher's degradation chain exist to contain.
+                offset = _scenario_offset()
+                for i in range(len(scenarios)):
+                    faults.maybe_inject("kernel", scenario=offset + i)
+            rows = [_kernel_input(spec, sc) for sc in scenarios]
+            result = _run_kernel(spec, scenarios, rows, options)
+        except Exception:
+            if not isolate:
+                raise
+            return solve_isolated_batched(spec, scenarios, options)
         return replace(result, backend=self.name)
 
 
@@ -312,15 +431,12 @@ def _solve_shard(bounds, payload):
     place the shard's scenario offset is published so kernel-level
     faults and failure records use full-stack indices.
     """
-    global _SCENARIO_OFFSET
     from ..solvers.facade import solve_stack
 
     method, child_backend, scenarios, options = payload
     shard, start, stop = bounds
     faults.maybe_inject("shard", shard=shard)
-    previous_offset = _SCENARIO_OFFSET
-    _SCENARIO_OFFSET = start
-    try:
+    with scenario_offset(start):
         return solve_stack(
             scenarios[start:stop],
             method=method,
@@ -328,98 +444,48 @@ def _solve_shard(bounds, payload):
             cache=None,
             **options,
         )
-    finally:
-        _SCENARIO_OFFSET = previous_offset
 
 
 def _concat_results(parts: Sequence[Any], backend: str):
     """Reassemble sharded sub-stack results along the scenario axis."""
-    first = parts[0]
-    demands = [p.demands_used for p in parts]
-    stacked_demands = (
-        None if any(d is None for d in demands) else np.concatenate(demands)
-    )
     failures = []
     offset = 0
     for p in parts:
         failures.extend(replace(f, index=offset + f.index) for f in p.failures)
         offset += p.n_scenarios
-    if isinstance(first, BatchedMultiClassTrajectory):
-        return BatchedMultiClassTrajectory(
-            class_names=first.class_names,
-            station_names=first.station_names,
-            totals=first.totals,
-            populations=first.populations,
-            throughput=np.concatenate([p.throughput for p in parts]),
-            response_time=np.concatenate([p.response_time for p in parts]),
-            utilizations=np.concatenate([p.utilizations for p in parts]),
-            think_times=first.think_times,
-            solver=first.solver,
-            demands_used=stacked_demands,
-            backend=backend,
-            failures=tuple(failures),
-        )
-    if isinstance(first, BatchedMultiClassResult):
-        return BatchedMultiClassResult(
-            populations=first.populations,
-            class_names=first.class_names,
-            throughput=np.concatenate([p.throughput for p in parts]),
-            response_time=np.concatenate([p.response_time for p in parts]),
-            queue_lengths=np.concatenate([p.queue_lengths for p in parts]),
-            queue_lengths_by_class=np.concatenate(
-                [p.queue_lengths_by_class for p in parts]
-            ),
-            utilizations=np.concatenate([p.utilizations for p in parts]),
-            station_names=first.station_names,
-            think_times=first.think_times,
-            solver=first.solver,
-            demands_used=stacked_demands,
-            backend=backend,
-            failures=tuple(failures),
-        )
-    return BatchedMVAResult(
-        populations=first.populations,
-        throughput=np.concatenate([p.throughput for p in parts]),
-        response_time=np.concatenate([p.response_time for p in parts]),
-        queue_lengths=np.concatenate([p.queue_lengths for p in parts]),
-        residence_times=np.concatenate([p.residence_times for p in parts]),
-        utilizations=np.concatenate([p.utilizations for p in parts]),
-        station_names=first.station_names,
-        think_times=np.concatenate([p.think_times for p in parts]),
-        solver=first.solver,
-        demands_used=stacked_demands,
-        backend=backend,
-        failures=tuple(failures),
-    )
+    columns = {}
+    for name in parts[0].layout.stacked:
+        values = [getattr(p, name) for p in parts]
+        # demands_used is optional: one part without it drops it stack-wide
+        columns[name] = None if any(v is None for v in values) else np.concatenate(values)
+    return replace(parts[0], **columns, backend=backend, failures=tuple(failures))
 
 
-class ProcessShardedBackend:
-    """Contiguous sub-stacks fanned out over a local process transport.
+class ProcessShardedBackend(Dispatcher):
+    """``process-sharded``: the :class:`Dispatcher` preset with no retries.
 
-    The no-frills fan-out: one :class:`~repro.engine.transport.
-    LocalProcessTransport` round with no retries — a crashed worker is
-    retried in-parent by :func:`parallel_map` itself, and a solver error
-    propagates.  For retries, degradation and checkpointing, use the
-    ``resilient`` backend (a :class:`~repro.engine.fabric.Dispatcher`
-    over the same transport).
+    Zero retries and no shard timeout over a local process transport.
+    Contiguous sub-stacks fan out over forked
+    :func:`~repro.engine.sweep.parallel_map` workers; a shard that fails
+    there is re-solved in-process through the dispatcher's
+    batched → serial degradation, and a deterministic failure then
+    raises (or, with ``errors="isolate"``, is isolated per shard).
     """
 
-    name = "process-sharded"
-
-    def __init__(self, workers: int | None = None) -> None:
-        self.workers = workers
-
-    def run(self, spec, scenarios, options):
+    def __init__(self, workers: int | None = None, errors: str = "raise") -> None:
         from .transport import LocalProcessTransport  # deferred: imports us
 
-        child_backend = "batched" if spec.batched_kernel else "serial"
-        bounds = shard_bounds(len(scenarios), self.workers)
-        parts = LocalProcessTransport(self.workers).run_shards(
-            bounds,
-            (spec.name, child_backend, list(scenarios), dict(options)),
-            return_exceptions=False,
+        super().__init__(
+            LocalProcessTransport(workers),
+            name="process-sharded",
+            policy=RetryPolicy(max_retries=0, shard_timeout=None),
+            errors=errors,
         )
-        return _concat_results(parts, self.name)
+
+    # Its own attribute (not inherited), so process-sharded runs can be
+    # traced apart from every other Dispatcher run.
+    def run(self, spec, scenarios, options):
+        return super().run(spec, scenarios, options)
 
 
 def backend_names() -> tuple[str, ...]:
@@ -427,27 +493,31 @@ def backend_names() -> tuple[str, ...]:
     return ("serial", "batched", "process-sharded", "resilient", "remote")
 
 
-def get_backend(name: str, workers: int | None = None, **kwargs) -> ExecutionBackend:
-    """An :class:`ExecutionBackend` instance by name.
+def get_backend(
+    name: str,
+    workers: int | None = None,
+    errors: str = "raise",
+    **dispatch,
+) -> ExecutionBackend:
+    """The one table from a backend name to its mechanism (module docstring).
 
-    ``workers`` only affects ``process-sharded`` and ``resilient``; the
-    in-process backends ignore it.  ``kwargs`` (retry policy,
-    checkpoint, error mode — plus ``hosts`` for ``remote``) are
-    forwarded to :class:`~repro.engine.resilience.ResilientBackend` /
-    :class:`~repro.engine.fabric.RemoteBackend`.
+    ``workers`` sizes the local process transport of ``process-sharded``
+    and ``resilient``.  ``dispatch`` (``policy``, ``checkpoint``,
+    ``sleep`` — plus ``hosts``/``membership`` and the other
+    :class:`~repro.engine.fabric.RemoteBackend` knobs for ``remote``)
+    configures the caller-tuned dispatcher presets; the in-process and
+    ``process-sharded`` presets fix their own policy and ignore it.
     """
-    if name == "serial":
-        return SerialBackend()
-    if name == "batched":
-        return BatchedBackend()
+    if name in ("serial", "batched"):
+        return InProcessBackend(name, errors=errors)
     if name == "process-sharded":
-        return ProcessShardedBackend(workers=workers)
+        return ProcessShardedBackend(workers, errors=errors)
     if name == "resilient":
-        from .resilience import ResilientBackend  # deferred: builds on this module
+        from .transport import LocalProcessTransport  # deferred: imports us
 
-        return ResilientBackend(workers=workers, **kwargs)
+        return Dispatcher(
+            LocalProcessTransport(workers), name=name, errors=errors, **dispatch
+        )
     if name == "remote":
-        from .fabric import RemoteBackend  # deferred: builds on this module
-
-        return RemoteBackend(**kwargs)
+        return RemoteBackend(errors=errors, **dispatch)
     raise ValueError(f"unknown backend {name!r}; known: {backend_names()}")

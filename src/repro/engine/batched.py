@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Sequence
+from typing import ClassVar, Mapping, Sequence
 
 import numpy as np
 
@@ -48,7 +48,9 @@ __all__ = [
     "BatchedMVAResult",
     "BatchedMultiClassResult",
     "BatchedMultiClassTrajectory",
+    "STACK_CONTAINERS",
     "ScenarioFailure",
+    "StackLayout",
     "batched_exact_mva",
     "batched_exact_multiclass",
     "batched_ld_mva",
@@ -120,8 +122,82 @@ class ScenarioFailure:
     retries: int = 0
 
 
+#: The field whose length each dimension letter of a layout shape names.
+_EXTENTS = {"n": "populations", "t": "totals", "k": "station_names", "c": "class_names"}
+
+
 @dataclass(frozen=True)
-class BatchedMVAResult:
+class StackLayout:
+    """Where one stack container keeps its data.
+
+    The one declaration that the shape checks, the shard concatenation,
+    the per-scenario loop, the checkpoint journal and the ``solve_shard``
+    wire codec all derive from.  Shapes are strings of dimension
+    letters: ``n`` populations, ``t`` mix-sweep steps, ``k`` stations,
+    ``c`` classes.
+
+    Attributes
+    ----------
+    wire_kind / journal_tag:
+        The container's name on the wire and in checkpoint records.
+    labels:
+        Tuple-of-string fields (station and class names).
+    index:
+        Integer population axes every scenario of the stack shares.
+    shared:
+        Float arrays every scenario of the stack shares.
+    stacked:
+        Float arrays with a leading scenario axis.  ``demands_used`` is
+        the one optional (``None``) entry.
+    """
+
+    wire_kind: str
+    journal_tag: str
+    labels: tuple[str, ...]
+    index: Mapping[str, str]
+    shared: Mapping[str, str]
+    stacked: Mapping[str, str]
+
+
+class _Stack:
+    """Checks and accessors common to the three stack containers."""
+
+    layout: ClassVar[StackLayout]
+
+    def __post_init__(self) -> None:
+        dims = {d: len(getattr(self, f)) for d, f in _EXTENTS.items() if hasattr(self, f)}
+        s = self.n_scenarios
+        layout = self.layout
+        for lead, fields in (((), layout.index), ((), layout.shared), ((s,), layout.stacked)):
+            for name, letters in fields.items():
+                value = getattr(self, name)
+                if value is None and name == "demands_used":
+                    continue
+                shape = lead + tuple(dims[d] for d in letters)
+                if np.shape(value) != shape:
+                    raise ValueError(f"{name} must have shape {shape}")
+        object.__setattr__(self, "failures", tuple(self.failures))
+        for f in self.failures:
+            if not 0 <= f.index < s:
+                raise ValueError(
+                    f"failure index {f.index} out of range for {s} scenarios"
+                )
+
+    @property
+    def failed_indices(self) -> tuple[int, ...]:
+        """Stack positions of the isolated scenarios, ascending."""
+        return tuple(sorted(f.index for f in self.failures))
+
+    @property
+    def n_scenarios(self) -> int:
+        return self.throughput.shape[0]
+
+    def __len__(self) -> int:
+        return self.n_scenarios
+
+
+@dataclass(frozen=True)
+class BatchedMVAResult(_Stack):
     """Trajectories of S scenarios solved in one batched recursion.
 
     The arrays carry a leading scenario axis on top of the scalar
@@ -150,36 +226,22 @@ class BatchedMVAResult:
     #: rows in the trajectory arrays are NaN.  Empty for fault-free runs.
     failures: tuple[ScenarioFailure, ...] = ()
 
-    def __post_init__(self) -> None:
-        s, n, k = self.n_scenarios, len(self.populations), len(self.station_names)
-        for attr in ("throughput", "response_time"):
-            if getattr(self, attr).shape != (s, n):
-                raise ValueError(f"{attr} must have shape ({s}, {n})")
-        for attr in ("queue_lengths", "residence_times", "utilizations"):
-            if getattr(self, attr).shape != (s, n, k):
-                raise ValueError(f"{attr} must have shape ({s}, {n}, {k})")
-        if self.think_times.shape != (s,):
-            raise ValueError(f"think_times must have shape ({s},)")
-        if self.demands_used is not None and self.demands_used.shape != (s, n, k):
-            raise ValueError(f"demands_used must have shape ({s}, {n}, {k})")
-        object.__setattr__(self, "failures", tuple(self.failures))
-        for f in self.failures:
-            if not 0 <= f.index < s:
-                raise ValueError(
-                    f"failure index {f.index} out of range for {s} scenarios"
-                )
-
-    @property
-    def failed_indices(self) -> tuple[int, ...]:
-        """Stack positions of the isolated scenarios, ascending."""
-        return tuple(sorted(f.index for f in self.failures))
-
-    @property
-    def n_scenarios(self) -> int:
-        return self.throughput.shape[0]
-
-    def __len__(self) -> int:
-        return self.n_scenarios
+    layout: ClassVar[StackLayout] = StackLayout(
+        wire_kind="batched-stack",
+        journal_tag="mva",
+        labels=("station_names",),
+        index={"populations": "n"},
+        shared={},
+        stacked={
+            "throughput": "n",
+            "response_time": "n",
+            "queue_lengths": "nk",
+            "residence_times": "nk",
+            "utilizations": "nk",
+            "think_times": "",
+            "demands_used": "nk",
+        },
+    )
 
     @property
     def cycle_time(self) -> np.ndarray:
@@ -728,7 +790,7 @@ def batched_mvasd(
 
 
 @dataclass(frozen=True)
-class BatchedMultiClassResult:
+class BatchedMultiClassResult(_Stack):
     """Full-population multi-class solutions of S scenarios in one batch.
 
     The multi-class analogue of :class:`BatchedMVAResult`: the arrays
@@ -754,44 +816,26 @@ class BatchedMultiClassResult:
     backend: str | None = None
     failures: tuple[ScenarioFailure, ...] = ()
 
+    layout: ClassVar[StackLayout] = StackLayout(
+        wire_kind="multiclass-stack",
+        journal_tag="multiclass",
+        labels=("station_names", "class_names"),
+        index={"populations": "c"},
+        shared={"think_times": "c"},
+        stacked={
+            "throughput": "c",
+            "response_time": "c",
+            "queue_lengths": "k",
+            "queue_lengths_by_class": "kc",
+            "utilizations": "k",
+            "demands_used": "kc",
+        },
+    )
+
     def __post_init__(self) -> None:
-        s = self.n_scenarios
-        c = len(self.class_names)
-        k = len(self.station_names)
-        if len(self.populations) != c:
-            raise ValueError(f"populations must have {c} entries")
-        for attr in ("throughput", "response_time"):
-            if getattr(self, attr).shape != (s, c):
-                raise ValueError(f"{attr} must have shape ({s}, {c})")
-        for attr, shape in (
-            ("queue_lengths", (s, k)),
-            ("queue_lengths_by_class", (s, k, c)),
-            ("utilizations", (s, k)),
-        ):
-            if getattr(self, attr).shape != shape:
-                raise ValueError(f"{attr} must have shape {shape}")
-        if self.think_times.shape != (c,):
-            raise ValueError(f"think_times must have shape ({c},)")
-        if self.demands_used is not None and self.demands_used.shape != (s, k, c):
-            raise ValueError(f"demands_used must have shape ({s}, {k}, {c})")
-        object.__setattr__(self, "failures", tuple(self.failures))
-        for f in self.failures:
-            if not 0 <= f.index < s:
-                raise ValueError(
-                    f"failure index {f.index} out of range for {s} scenarios"
-                )
-
-    @property
-    def failed_indices(self) -> tuple[int, ...]:
-        """Stack positions of the isolated scenarios, ascending."""
-        return tuple(sorted(f.index for f in self.failures))
-
-    @property
-    def n_scenarios(self) -> int:
-        return self.throughput.shape[0]
-
-    def __len__(self) -> int:
-        return self.n_scenarios
+        # Codecs hand over whatever list or array the wire or journal held.
+        object.__setattr__(self, "populations", tuple(int(n) for n in self.populations))
+        super().__post_init__()
 
     @property
     def total_throughput(self) -> np.ndarray:
@@ -816,7 +860,7 @@ class BatchedMultiClassResult:
 
 
 @dataclass(frozen=True)
-class BatchedMultiClassTrajectory:
+class BatchedMultiClassTrajectory(_Stack):
     """Mix-sweep trajectories of S multi-class scenarios in one batch.
 
     Batched analogue of
@@ -839,40 +883,19 @@ class BatchedMultiClassTrajectory:
     backend: str | None = None
     failures: tuple[ScenarioFailure, ...] = ()
 
-    def __post_init__(self) -> None:
-        s = self.n_scenarios
-        t = len(self.totals)
-        c = len(self.class_names)
-        k = len(self.station_names)
-        if self.populations.shape != (t, c):
-            raise ValueError(f"populations must have shape ({t}, {c})")
-        for attr in ("throughput", "response_time"):
-            if getattr(self, attr).shape != (s, t, c):
-                raise ValueError(f"{attr} must have shape ({s}, {t}, {c})")
-        if self.utilizations.shape != (s, t, k):
-            raise ValueError(f"utilizations must have shape ({s}, {t}, {k})")
-        if self.think_times.shape != (c,):
-            raise ValueError(f"think_times must have shape ({c},)")
-        if self.demands_used is not None and self.demands_used.shape != (s, t, k, c):
-            raise ValueError(f"demands_used must have shape ({s}, {t}, {k}, {c})")
-        object.__setattr__(self, "failures", tuple(self.failures))
-        for f in self.failures:
-            if not 0 <= f.index < s:
-                raise ValueError(
-                    f"failure index {f.index} out of range for {s} scenarios"
-                )
-
-    @property
-    def failed_indices(self) -> tuple[int, ...]:
-        """Stack positions of the isolated scenarios, ascending."""
-        return tuple(sorted(f.index for f in self.failures))
-
-    @property
-    def n_scenarios(self) -> int:
-        return self.throughput.shape[0]
-
-    def __len__(self) -> int:
-        return self.n_scenarios
+    layout: ClassVar[StackLayout] = StackLayout(
+        wire_kind="multiclass-trajectory-stack",
+        journal_tag="multiclass-trajectory",
+        labels=("station_names", "class_names"),
+        index={"totals": "t", "populations": "tc"},
+        shared={"think_times": "c"},
+        stacked={
+            "throughput": "tc",
+            "response_time": "tc",
+            "utilizations": "tk",
+            "demands_used": "tkc",
+        },
+    )
 
     @property
     def total_throughput(self) -> np.ndarray:
@@ -894,6 +917,27 @@ class BatchedMultiClassTrajectory:
             utilizations=np.array(self.utilizations[index]),
             think_times=tuple(float(z) for z in self.think_times),
         )
+
+
+#: Every stack container, each declaring its :class:`StackLayout`.
+STACK_CONTAINERS = (BatchedMVAResult, BatchedMultiClassResult, BatchedMultiClassTrajectory)
+
+
+def mix_populations(weights: np.ndarray, max_total_population: int) -> np.ndarray:
+    """Realized integer class mixes ``(T, C)`` of a totals ``1..T`` sweep.
+
+    Largest-remainder apportionment of the normalized class ``weights``
+    at every total, exactly as the scalar multi-class MVASD sweep rounds
+    it.
+    """
+    pops = np.zeros((int(max_total_population), len(weights)), dtype=int)
+    for i, total in enumerate(range(1, int(max_total_population) + 1)):
+        raw = weights * total
+        base = np.floor(raw).astype(int)
+        order = np.argsort(-(raw - base))
+        base[order[: total - int(base.sum())]] += 1
+        pops[i] = base
+    return pops
 
 
 def _class_axes(
@@ -1145,21 +1189,14 @@ def batched_multiclass_mvasd(
         raise ValueError(f"batched-multiclass-mvasd: think_times must be {c} values")
 
     steps = np.arange(1, t + 1)
-    pops = np.zeros((t, c), dtype=int)
+    # Shared largest-remainder apportionment of the mix at every total.
+    pops = mix_populations(weights, t)
     xs = np.zeros((s, t, c))
     rs = np.zeros((s, t, c))
     utils = np.zeros((s, t, k))
 
-    for i, total in enumerate(steps):
-        # Shared largest-remainder apportionment of the mix at this total.
-        raw = weights * total
-        base = np.floor(raw).astype(int)
-        remainder = int(total) - int(base.sum())
-        order = np.argsort(-(raw - base))
-        base[order[:remainder]] += 1
-        pops[i] = base
-
-        n_c = base.astype(float)
+    for i in range(t):
+        n_c = pops[i].astype(float)
         active_cls = n_c > 0
         d_step = d[:, i, :, :]
 

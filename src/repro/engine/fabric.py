@@ -1,12 +1,5 @@
 """The execution fabric: plan → dispatch → transport, as separate layers.
 
-Before this module, shard partitioning, retry/backoff, checkpoint
-journaling and result reassembly lived twice — entangled inside
-:class:`~repro.engine.backends.ProcessShardedBackend` and
-:class:`~repro.engine.resilience.ResilientBackend` — and both were
-welded to the local fork pool.  The fabric splits the execution plane
-into three layers with one owner each:
-
 :class:`WorkPlan` (*planning*)
     What to solve: the contiguous :class:`WorkShard` slices of a stack
     (via :func:`~repro.engine.backends.shard_bounds`), each carrying its
@@ -27,11 +20,10 @@ into three layers with one owner each:
     (:class:`~repro.engine.transport.RemoteTransport`).  The dispatcher
     never knows the difference.
 
-:class:`RemoteBackend` is the user-facing composition: capability
-checks (wire-encodability), a :class:`RemoteTransport` over the given
-``hosts``, and a :class:`Dispatcher` — which is exactly why remote
-sweeps get kill-and-resume journaling and local degradation *for free*:
-they are the same code path the ``resilient`` backend runs locally.
+The ``process-sharded``, ``resilient`` and ``remote`` backends are all
+this one :class:`Dispatcher`, configured by
+:func:`~repro.engine.backends.get_backend`; :class:`RemoteBackend` adds
+only the wire-capability check and the transport's lifetime.
 """
 
 from __future__ import annotations
@@ -40,14 +32,8 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
-from . import faults
-from .backends import _concat_results, get_backend, scenario_offset, shard_bounds
-from .resilience import (
-    RetryPolicy,
-    SweepCheckpoint,
-    solve_isolated,
-    solve_isolated_batched,
-)
+from . import backends, faults
+from .resilience import RetryPolicy, SweepCheckpoint
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..solvers.registry import SolverSpec
@@ -107,7 +93,7 @@ class WorkPlan:
         """
         scenarios = list(scenarios)
         shards = []
-        for i, start, stop in shard_bounds(len(scenarios), n_shards):
+        for i, start, stop in backends.shard_bounds(len(scenarios), n_shards):
             key = None
             if checkpoint is not None:
                 key = SweepCheckpoint.shard_key(
@@ -144,9 +130,9 @@ class Dispatcher:
        :class:`~repro.engine.batched.ScenarioFailure` entries with NaN
        rows (``errors="isolate"``).
 
-    This is byte-for-byte the recovery behaviour the ``resilient``
-    backend always had — :class:`ResilientBackend` now *is* this class
-    over a :class:`~repro.engine.transport.LocalProcessTransport`.
+    ``errors``, the policy default and checkpoint-path coercion are
+    checked here and nowhere else: every dispatcher preset of
+    :func:`~repro.engine.backends.get_backend` goes through them.
     """
 
     def __init__(
@@ -224,12 +210,14 @@ class Dispatcher:
                 last_exc: BaseException | None = None
                 chain = ["batched"] if spec.batched_kernel else []
                 chain.append("serial")
-                with scenario_offset(shard.start):
+                with backends.scenario_offset(shard.start):
                     for backend_name in chain:
                         faults.set_attempt(attempt)
                         attempt += 1
                         try:
-                            part = get_backend(backend_name).run(spec, sub, options)
+                            part = backends.get_backend(backend_name).run(
+                                spec, sub, options
+                            )
                             break
                         except Exception as exc:
                             retries[shard.index] += 1
@@ -240,11 +228,11 @@ class Dispatcher:
                         if self.errors != "isolate":
                             raise last_exc
                         if spec.batched_kernel is not None:
-                            part = solve_isolated_batched(
+                            part = backends.solve_isolated_batched(
                                 spec, sub, options, retries=retries[shard.index]
                             )
                         else:
-                            part = solve_isolated(
+                            part = backends.solve_isolated(
                                 spec, sub, options, retries=retries[shard.index]
                             )
                 parts[shard.index] = part
@@ -254,7 +242,7 @@ class Dispatcher:
             faults.set_attempt(0)
 
         ordered = [parts[s.index] for s in plan.shards]
-        return _concat_results(ordered, self.name)
+        return backends._concat_results(ordered, self.name)
 
 
 def _check_remote_capability(spec, scenarios, options) -> None:
@@ -312,18 +300,18 @@ def _check_remote_capability(spec, scenarios, options) -> None:
         )
 
 
-class RemoteBackend:
+class RemoteBackend(Dispatcher):
     """``backend="remote"``: shards solved by ``repro worker`` hosts.
 
-    Implements the :class:`~repro.engine.backends.ExecutionBackend`
-    protocol by composing a :class:`~repro.engine.transport.RemoteTransport`
-    over ``hosts`` with a :class:`Dispatcher` — so remote sweeps share
-    the ``resilient`` backend's retry/backoff, checkpoint journaling and
-    in-process degradation verbatim.  A fleet that dies entirely never
-    aborts the sweep: the dispatcher finishes it locally.
+    The :class:`Dispatcher` over a
+    :class:`~repro.engine.transport.RemoteTransport` to ``hosts`` (or to
+    an elastic ``membership``), so remote sweeps share the retry/backoff,
+    checkpoint journaling and in-process degradation of every other
+    dispatcher preset.  A fleet that dies entirely never aborts the
+    sweep: the dispatcher finishes it locally.  Each run first checks
+    that the stack survives the wire codec, and closes the transport's
+    connections when it ends.
     """
-
-    name = "remote"
 
     def __init__(
         self,
@@ -337,53 +325,35 @@ class RemoteBackend:
         reprobe_interval: float = 0.5,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
-        from .transport import DEFAULT_SHARDS_PER_HOST, parse_hosts
+        from .transport import DEFAULT_SHARDS_PER_HOST, RemoteTransport, parse_hosts
 
-        if isinstance(hosts, str):
-            hosts = parse_hosts(hosts)
-        self.hosts = tuple(hosts)
-        self.membership = membership
-        if not self.hosts and membership is None:
-            raise ValueError("remote backend needs worker hosts or a membership")
-        if errors not in ("raise", "isolate"):
-            raise ValueError(f"errors must be 'raise' or 'isolate', got {errors!r}")
-        self.policy = policy if policy is not None else RetryPolicy()
-        if checkpoint is not None and not isinstance(checkpoint, SweepCheckpoint):
-            checkpoint = SweepCheckpoint(checkpoint)
-        self.checkpoint = checkpoint
-        self.errors = errors
-        self.shards_per_host = (
-            DEFAULT_SHARDS_PER_HOST if shards_per_host is None else int(shards_per_host)
+        transport = RemoteTransport(
+            parse_hosts(hosts) if isinstance(hosts, str) else hosts,
+            connect_timeout=connect_timeout,
+            shards_per_host=(
+                DEFAULT_SHARDS_PER_HOST if shards_per_host is None else shards_per_host
+            ),
+            membership=membership,
+            reprobe_interval=reprobe_interval,
         )
-        self.connect_timeout = float(connect_timeout)
-        self.reprobe_interval = float(reprobe_interval)
-        self._sleep = sleep
-        #: The transport of the most recent run — how callers read the
-        #: elastic counters (overload_retries, readmissions) afterwards.
-        self.last_transport = None
+        super().__init__(
+            transport,
+            name="remote",
+            policy=policy,
+            checkpoint=checkpoint,
+            errors=errors,
+            sleep=sleep,
+        )
+
+    @property
+    def last_transport(self):
+        """The transport runs go through — read its elastic counters
+        (``overload_retries``, ``readmissions``) after a run."""
+        return self.transport
 
     def run(self, spec, scenarios, options):
-        from .transport import RemoteTransport
-
-        scenarios = list(scenarios)
         _check_remote_capability(spec, scenarios, options)
-        transport = RemoteTransport(
-            self.hosts,
-            connect_timeout=self.connect_timeout,
-            shards_per_host=self.shards_per_host,
-            membership=self.membership,
-            reprobe_interval=self.reprobe_interval,
-        )
-        self.last_transport = transport
         try:
-            dispatcher = Dispatcher(
-                transport,
-                name=self.name,
-                policy=self.policy,
-                checkpoint=self.checkpoint,
-                errors=self.errors,
-                sleep=self._sleep,
-            )
-            return dispatcher.run(spec, scenarios, options)
+            return super().run(spec, scenarios, options)
         finally:
-            transport.close()
+            self.transport.close()

@@ -1,40 +1,21 @@
-"""Fault-tolerant execution: retries, degradation, isolation, checkpointing.
-
-A million-scenario sweep dies three ways in practice: a worker process
-is OOM-killed mid-shard (the pool breaks), one pathological scenario
-poisons a whole vectorized kernel, or the driver itself is killed at
-scenario 999,999 and everything is lost.  This module closes all three
-holes behind the same :class:`~repro.engine.backends.ExecutionBackend`
-protocol the healthy backends implement:
+"""Recovery knobs and the crash-safe shard journal.
 
 :class:`RetryPolicy`
     Bounded retries with exponential backoff and a per-shard timeout —
-    the knobs of every recovery decision in one frozen value object.
-:class:`ResilientBackend`
-    The graceful-degradation chain *sharded → batched → serial*: shards
-    are fanned out with a per-shard timeout; shards that crash or time
-    out are retried (new pool, backoff) up to the policy bound; shards
-    that still fail are re-solved in-process with the method's batched
-    kernel, then the serial loop; scenarios that *still* fail are either
-    raised (``errors="raise"``) or isolated into structured
-    :class:`~repro.engine.batched.ScenarioFailure` records
-    (``errors="isolate"``).  Only failed work is ever redone.
+    the knobs of every recovery decision the
+    :class:`~repro.engine.fabric.Dispatcher` makes, in one frozen value
+    object.
 :class:`SweepCheckpoint`
     An append-only journal of completed shards, content-addressed on
-    ``Scenario.fingerprint()`` + method + canonical options (the PR 4
-    cache keys).  Killing the driver and re-running with the same
+    ``Scenario.fingerprint()`` + method + canonical options (the solver
+    cache's keys).  Killing the driver and re-running with the same
     checkpoint resumes exactly where it died — journaled shards are
     byte-exact array round-trips, so the resumed result is bit-identical
     to an uninterrupted run.
-:func:`solve_isolated`
-    The per-scenario last resort shared with the facade's
-    ``solve_stack(errors="isolate")`` path: every scenario is solved
-    alone, failures become records, failed rows are NaN.
 
-Every recovery path here is exercised by the deterministic
-fault-injection harness (:mod:`repro.engine.faults`) in
-``tests/test_faults.py`` — the faulted run must match the fault-free
-run to ≤1e-10.
+Every recovery path is exercised by the deterministic fault-injection
+harness (:mod:`repro.engine.faults`) in ``tests/test_faults.py`` — the
+faulted run must match the fault-free run to ≤1e-10.
 """
 
 from __future__ import annotations
@@ -44,37 +25,17 @@ import hashlib
 import io
 import json
 import os
-import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from . import faults
-from .backends import (
-    _kernel_input,
-    _kernel_input_shape,
-    _run_kernel,
-    _scenario_offset,
-)
-from .batched import (
-    BatchedMultiClassResult,
-    BatchedMultiClassTrajectory,
-    BatchedMVAResult,
-    ScenarioFailure,
-)
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..solvers.registry import SolverSpec
-    from ..solvers.scenario import Scenario
+from .batched import STACK_CONTAINERS
 
 __all__ = [
-    "ResilientBackend",
     "RetryPolicy",
     "SweepCheckpoint",
-    "solve_isolated",
-    "solve_isolated_batched",
 ]
 
 #: Journal-format version; bumped whenever the record layout changes so
@@ -132,214 +93,6 @@ class RetryPolicy:
         )
 
 
-def _failure_record(
-    scenario: "Scenario", index: int, solver: str, exc: BaseException, retries: int
-) -> ScenarioFailure:
-    try:
-        fingerprint = scenario.fingerprint()
-    except Exception:
-        # A demand model broken enough to fail fingerprinting still gets
-        # a record — the index and error keep it actionable.
-        fingerprint = "<unavailable>"
-    return ScenarioFailure(
-        index=index,
-        fingerprint=fingerprint,
-        solver=solver,
-        error=f"{type(exc).__name__}: {exc}",
-        retries=retries,
-    )
-
-
-def solve_isolated(
-    spec: "SolverSpec",
-    scenarios: Sequence["Scenario"],
-    options: Mapping[str, Any],
-    retries: int = 0,
-) -> BatchedMVAResult:
-    """Solve each scenario alone, isolating failures instead of aborting.
-
-    The per-scenario last resort behind ``solve_stack(errors="isolate")``
-    and the final stage of :class:`ResilientBackend`: successful
-    scenarios get exactly the rows the ``serial`` backend would produce
-    (same scalar solver, same order); failed scenarios contribute NaN
-    rows plus a :class:`ScenarioFailure` record.  ``retries`` stamps the
-    records with how many recovery attempts preceded isolation.
-    """
-    scenarios = list(scenarios)
-    offset = _scenario_offset()
-    n = scenarios[0].max_population
-    k = len(scenarios[0].station_names)
-    s = len(scenarios)
-    results: dict[int, Any] = {}
-    failures: list[ScenarioFailure] = []
-    for i, sc in enumerate(scenarios):
-        try:
-            faults.maybe_inject("kernel", scenario=offset + i)
-            results[i] = spec.solve(sc, **dict(options))
-        except Exception as exc:
-            failures.append(_failure_record(sc, i, spec.name, exc, retries))
-
-    if spec.returns == "multiclass":
-        return _isolate_multiclass(spec, scenarios, results, failures)
-
-    populations = np.arange(1, n + 1)
-    throughput = np.full((s, n), np.nan)
-    response_time = np.full((s, n), np.nan)
-    queue_lengths = np.full((s, n, k), np.nan)
-    residence_times = np.full((s, n, k), np.nan)
-    utilizations = np.full((s, n, k), np.nan)
-    demands = np.full((s, n, k), np.nan)
-    have_demands = bool(results)
-    for i, r in results.items():
-        throughput[i] = r.throughput
-        response_time[i] = r.response_time
-        queue_lengths[i] = r.queue_lengths
-        residence_times[i] = r.residence_times
-        utilizations[i] = r.utilizations
-        if r.demands_used is None:
-            have_demands = False
-        else:
-            demands[i] = r.demands_used
-    first = next(iter(results.values()), None)
-    return BatchedMVAResult(
-        populations=first.populations if first is not None else populations,
-        throughput=throughput,
-        response_time=response_time,
-        queue_lengths=queue_lengths,
-        residence_times=residence_times,
-        utilizations=utilizations,
-        station_names=scenarios[0].station_names,
-        think_times=np.array([sc.think for sc in scenarios]),
-        solver=f"stacked-{first.solver}" if first is not None else spec.name,
-        demands_used=demands if have_demands else None,
-        backend="serial",
-        failures=tuple(failures),
-    )
-
-
-def _isolate_multiclass(spec, scenarios, results, failures):
-    """Assemble the multi-class isolation container (NaN rows for failures)."""
-    first_sc = scenarios[0]
-    s = len(scenarios)
-    k = len(first_sc.station_names)
-    c = len(first_sc.classes)
-    n = first_sc.max_population
-    z = np.asarray(first_sc.class_think_times, dtype=float)
-    solver = f"stacked-{spec.name}"
-    first = next(iter(results.values()), None)
-    trajectory = (
-        hasattr(first, "totals")
-        if first is not None
-        else spec.batched_kernel == "multiclass-mvasd"
-    )
-    if trajectory:
-        throughput = np.full((s, n, c), np.nan)
-        response = np.full((s, n, c), np.nan)
-        utils = np.full((s, n, k), np.nan)
-        for i, r in results.items():
-            throughput[i] = r.throughput
-            response[i] = r.response_time
-            utils[i] = r.utilizations
-        if first is not None:
-            totals, pops = first.totals, first.populations
-        else:
-            # No survivor to copy the mix sweep from: recompute the
-            # largest-remainder apportionment the solver would have used.
-            totals = np.arange(1, n + 1)
-            weights = np.array(
-                [cl.population for cl in first_sc.classes], dtype=float
-            )
-            weights = weights / weights.sum()
-            pops = np.zeros((n, c), dtype=int)
-            for ti, total in enumerate(range(1, n + 1)):
-                raw = weights * total
-                base = np.floor(raw).astype(int)
-                order = np.argsort(-(raw - base))
-                base[order[: total - int(base.sum())]] += 1
-                pops[ti] = base
-        return BatchedMultiClassTrajectory(
-            class_names=first_sc.class_names,
-            station_names=first_sc.station_names,
-            totals=np.asarray(totals),
-            populations=np.asarray(pops),
-            throughput=throughput,
-            response_time=response,
-            utilizations=utils,
-            think_times=z,
-            solver=solver,
-            backend="serial",
-            failures=tuple(failures),
-        )
-    throughput = np.full((s, c), np.nan)
-    response = np.full((s, c), np.nan)
-    queue_lengths = np.full((s, k), np.nan)
-    queue_by_class = np.full((s, k, c), np.nan)
-    utils = np.full((s, k), np.nan)
-    for i, r in results.items():
-        throughput[i] = r.throughput
-        response[i] = r.response_time
-        queue_lengths[i] = r.queue_lengths
-        queue_by_class[i] = r.queue_lengths_by_class
-        utils[i] = r.utilizations
-    return BatchedMultiClassResult(
-        populations=first_sc.class_populations,
-        class_names=first_sc.class_names,
-        throughput=throughput,
-        response_time=response,
-        queue_lengths=queue_lengths,
-        queue_lengths_by_class=queue_by_class,
-        utilizations=utils,
-        station_names=first_sc.station_names,
-        think_times=z,
-        solver=solver,
-        backend="serial",
-        failures=tuple(failures),
-    )
-
-
-def solve_isolated_batched(
-    spec: "SolverSpec",
-    scenarios: Sequence["Scenario"],
-    options: Mapping[str, Any],
-    retries: int = 0,
-):
-    """Masked-kernel isolation: failed rows NaN, healthy rows stay batched.
-
-    Probes every scenario's kernel input independently (the injection
-    point and the place bad demand models blow up); scenarios whose
-    probe fails are masked out of the single vectorized kernel call
-    with a placeholder row.  Surviving scenarios keep batched speed —
-    previously one poisoned scenario demoted the whole shard to the
-    serial loop.  Falls back to :func:`solve_isolated` if the masked
-    kernel call itself still fails.
-    """
-    scenarios = list(scenarios)
-    offset = _scenario_offset()
-    rows: list[np.ndarray] = []
-    mask = np.ones(len(scenarios), dtype=bool)
-    failures: list[ScenarioFailure] = []
-    for i, sc in enumerate(scenarios):
-        try:
-            faults.maybe_inject("kernel", scenario=offset + i)
-            row = np.asarray(_kernel_input(spec, sc), dtype=float)
-            if not np.isfinite(row).all():
-                raise ValueError("non-finite demands")
-            rows.append(row)
-        except Exception as exc:
-            mask[i] = False
-            rows.append(np.ones(_kernel_input_shape(spec, sc)))
-            failures.append(_failure_record(sc, i, spec.name, exc, retries))
-    try:
-        result = _run_kernel(
-            spec, scenarios, rows, options, mask=None if mask.all() else mask
-        )
-    except Exception:
-        # The kernel failed on the surviving rows too (or the probe
-        # missed a poison the full recursion hits) — degrade all the way.
-        return solve_isolated(spec, scenarios, options, retries=retries)
-    return replace(result, backend="batched", failures=tuple(failures))
-
-
 class SweepCheckpoint:
     """Append-only journal of completed shards for crash-safe sweeps.
 
@@ -347,8 +100,9 @@ class SweepCheckpoint:
     key (:meth:`shard_key` — scenario fingerprints + method + canonical
     options, the same identity the solver cache uses), a SHA-256 of the
     payload, and the shard's result arrays (any of the three stack
-    containers, tagged by a ``container`` meta field) as a
-    base64 ``.npz`` blob.  The array round-trip is lossless, so a
+    containers, laid out by its :class:`~repro.engine.batched.StackLayout`
+    and tagged by a ``container`` meta field) as a base64 ``.npz``
+    blob.  The array round-trip is lossless, so a
     resumed sweep reassembles *bit-identical* results from journaled
     shards.  Loading tolerates a torn tail (the line a killed driver was
     writing) and corrupted records by skipping anything that fails JSON
@@ -410,24 +164,13 @@ class SweepCheckpoint:
     def record(self, key: str | None, part) -> None:
         """Append one completed shard (no-op for unkeyed/failed parts).
 
-        All three stack containers journal: single-class trajectories
-        (:class:`BatchedMVAResult`) and the two multi-class containers
-        — each with its own npz array layout, tagged by a ``container``
-        field in the record meta.  Parts carrying failures are never
-        journaled: a resume after fixing the inputs must recompute them.
+        All three stack containers journal, each laid out by its
+        :class:`~repro.engine.batched.StackLayout` and tagged by a
+        ``container`` field in the record meta.  Parts carrying failures
+        are never journaled: a resume after fixing the inputs must
+        recompute them.
         """
-        if (
-            key is None
-            or part.failures
-            or not isinstance(
-                part,
-                (
-                    BatchedMVAResult,
-                    BatchedMultiClassResult,
-                    BatchedMultiClassTrajectory,
-                ),
-            )
-        ):
+        if key is None or part.failures or type(part) not in STACK_CONTAINERS:
             return
         meta, raw = self._encode(part)
         record = {
@@ -448,165 +191,39 @@ class SweepCheckpoint:
 
     @staticmethod
     def _encode(part) -> tuple[dict, bytes]:
+        layout = part.layout
         meta = {
             "solver": part.solver,
             "backend": part.backend,
-            "station_names": list(part.station_names),
+            "container": layout.journal_tag,
+            **{name: list(getattr(part, name)) for name in layout.labels},
         }
-        if isinstance(part, BatchedMultiClassTrajectory):
-            meta["container"] = "multiclass-trajectory"
-            meta["class_names"] = list(part.class_names)
-            arrays = {
-                "totals": np.asarray(part.totals),
-                "populations": np.asarray(part.populations),
-                "throughput": part.throughput,
-                "response_time": part.response_time,
-                "utilizations": part.utilizations,
-                "think_times": part.think_times,
-            }
-        elif isinstance(part, BatchedMultiClassResult):
-            meta["container"] = "multiclass"
-            meta["class_names"] = list(part.class_names)
-            arrays = {
-                "populations": np.asarray(part.populations),
-                "throughput": part.throughput,
-                "response_time": part.response_time,
-                "queue_lengths": part.queue_lengths,
-                "queue_lengths_by_class": part.queue_lengths_by_class,
-                "utilizations": part.utilizations,
-                "think_times": part.think_times,
-            }
-        else:
-            # "mva" is the implicit default so v1 single-class records
-            # (written before the tag existed) keep decoding unchanged.
-            meta["container"] = "mva"
-            arrays = {
-                "populations": part.populations,
-                "throughput": part.throughput,
-                "response_time": part.response_time,
-                "queue_lengths": part.queue_lengths,
-                "residence_times": part.residence_times,
-                "utilizations": part.utilizations,
-                "think_times": part.think_times,
-            }
-        if part.demands_used is not None:
-            arrays["demands_used"] = part.demands_used
+        arrays = {
+            name: np.asarray(getattr(part, name))
+            for name in (*layout.index, *layout.shared, *layout.stacked)
+            if getattr(part, name) is not None
+        }
         buf = io.BytesIO()
         np.savez_compressed(buf, **arrays)
         return meta, buf.getvalue()
 
     @staticmethod
     def _decode(meta: Mapping, raw: bytes):
-        container = meta.get("container", "mva")
+        # "mva" is the implicit default so v1 single-class records
+        # (written before the tag existed) keep decoding unchanged.
+        tag = meta.get("container", "mva")
+        cls = next((c for c in STACK_CONTAINERS if c.layout.journal_tag == tag), None)
+        if cls is None:
+            raise ValueError(f"unknown checkpoint container {tag!r}")
+        layout = cls.layout
         with np.load(io.BytesIO(raw), allow_pickle=False) as data:
-            demands = data["demands_used"] if "demands_used" in data else None
-            if container == "multiclass-trajectory":
-                return BatchedMultiClassTrajectory(
-                    class_names=tuple(meta["class_names"]),
-                    station_names=tuple(meta["station_names"]),
-                    totals=data["totals"],
-                    populations=data["populations"],
-                    throughput=data["throughput"],
-                    response_time=data["response_time"],
-                    utilizations=data["utilizations"],
-                    think_times=data["think_times"],
-                    solver=str(meta["solver"]),
-                    demands_used=demands,
-                    backend=meta.get("backend"),
-                )
-            if container == "multiclass":
-                return BatchedMultiClassResult(
-                    populations=tuple(int(n) for n in data["populations"]),
-                    class_names=tuple(meta["class_names"]),
-                    throughput=data["throughput"],
-                    response_time=data["response_time"],
-                    queue_lengths=data["queue_lengths"],
-                    queue_lengths_by_class=data["queue_lengths_by_class"],
-                    utilizations=data["utilizations"],
-                    station_names=tuple(meta["station_names"]),
-                    think_times=data["think_times"],
-                    solver=str(meta["solver"]),
-                    demands_used=demands,
-                    backend=meta.get("backend"),
-                )
-            if container != "mva":
-                raise ValueError(f"unknown checkpoint container {container!r}")
-            return BatchedMVAResult(
-                populations=data["populations"],
-                throughput=data["throughput"],
-                response_time=data["response_time"],
-                queue_lengths=data["queue_lengths"],
-                residence_times=data["residence_times"],
-                utilizations=data["utilizations"],
-                station_names=tuple(meta["station_names"]),
-                think_times=data["think_times"],
+            return cls(
                 solver=str(meta["solver"]),
-                demands_used=demands,
                 backend=meta.get("backend"),
+                **{name: tuple(meta[name]) for name in layout.labels},
+                **{
+                    name: data[name]
+                    for name in (*layout.index, *layout.shared, *layout.stacked)
+                    if name in data
+                },
             )
-
-
-class ResilientBackend:
-    """The sharded → batched → serial graceful-degradation chain.
-
-    Implements the :class:`~repro.engine.backends.ExecutionBackend`
-    protocol.  Execution proceeds in stages, and only *failed* work is
-    ever redone:
-
-    1. **Sharded attempts** — contiguous shards fan out over
-       :func:`~repro.engine.sweep.parallel_map` workers with the
-       policy's per-shard timeout; shards whose worker crashes
-       (``BrokenProcessPool``), wedges (timeout) or errors are retried
-       with exponential backoff, in a fresh pool, up to
-       ``policy.max_retries`` times.  Completed shards are journaled to
-       the checkpoint (if any) as they land.
-    2. **In-process degradation** — shards that exhaust their retries
-       are re-solved in the driver: first through the method's batched
-       kernel (if registered), then through the serial per-scenario
-       loop.
-    3. **Per-scenario isolation** — scenarios that still fail are
-       raised (``errors="raise"``) or recorded as
-       :class:`~repro.engine.batched.ScenarioFailure` entries with NaN
-       result rows (``errors="isolate"``) via :func:`solve_isolated`.
-
-    The attempt counter published to :mod:`repro.engine.faults` is
-    monotone across stages, so a deterministic fault armed for attempt 0
-    fires exactly once and every later stage observes a healthy system —
-    which is what makes recovery-parity tests exact.
-    """
-
-    name = "resilient"
-
-    def __init__(
-        self,
-        workers: int | None = None,
-        policy: RetryPolicy | None = None,
-        checkpoint: SweepCheckpoint | str | os.PathLike | None = None,
-        errors: str = "raise",
-        sleep: Callable[[float], None] = time.sleep,
-    ) -> None:
-        if errors not in ("raise", "isolate"):
-            raise ValueError(f"errors must be 'raise' or 'isolate', got {errors!r}")
-        self.workers = workers
-        self.policy = policy if policy is not None else RetryPolicy()
-        if checkpoint is not None and not isinstance(checkpoint, SweepCheckpoint):
-            checkpoint = SweepCheckpoint(checkpoint)
-        self.checkpoint = checkpoint
-        self.errors = errors
-        self._sleep = sleep
-
-    def run(self, spec, scenarios, options):
-        # The staged loop itself lives in the transport-agnostic
-        # Dispatcher; this backend is its local-process instantiation.
-        from .fabric import Dispatcher  # deferred: fabric builds on this module
-        from .transport import LocalProcessTransport
-
-        dispatcher = Dispatcher(
-            LocalProcessTransport(self.workers),
-            name=self.name,
-            policy=self.policy,
-            checkpoint=self.checkpoint,
-            errors=self.errors,
-            sleep=self._sleep,
-        )
-        return dispatcher.run(spec, scenarios, options)

@@ -1,6 +1,6 @@
 """Fleet supervision: managed worker lifecycle for the remote fabric.
 
-PR 9's :class:`~repro.engine.transport.RemoteTransport` assumes a
+On its own, :class:`~repro.engine.transport.RemoteTransport` assumes a
 pre-started, static fleet — hosts must already be running ``repro
 worker`` and a dead host stays dead.  This module closes the lifecycle
 half: a :class:`FleetSupervisor` *starts* N workers through a pluggable

@@ -131,7 +131,7 @@ def parallel_map(
 
     With ``return_exceptions=True`` neither is retried or raised:
     failed items come back as their exception objects in the results
-    list, which is how :class:`repro.engine.resilience.ResilientBackend`
+    list, which is how the :class:`repro.engine.fabric.Dispatcher`
     implements its own retry/backoff policy on top of this primitive.
     ``KeyboardInterrupt`` always cancels outstanding work and shuts the
     pool down without waiting before re-raising.

@@ -31,9 +31,9 @@ Failure model of the remote transport: a connection-level failure
 (refused, reset, timeout, or an injected ``drop-connection`` fault)
 retires that host *for the round* — its pump thread exits, surviving
 hosts drain the rest of the queue, and the failed shard surfaces as an
-exception for the dispatcher to retry.  Retirement is no longer final
-even within a round: while at least one pump is still draining the
-queue, a monitor thread re-probes retired hosts (and any host newly
+exception for the dispatcher to retry.  Retirement is not final even
+within a round: while at least one pump is still draining the queue, a
+monitor thread re-probes retired hosts (and any host newly
 published by an elastic *membership* source, e.g. a
 :class:`~repro.engine.supervisor.FleetSupervisor` that relaunched a
 crashed worker on a fresh port) and starts a new pump the moment a

@@ -78,12 +78,7 @@ import numpy as np
 
 from ..core.network import ClosedNetwork, Station
 from ..core.results import MVAResult
-from ..engine.batched import (
-    BatchedMultiClassResult,
-    BatchedMultiClassTrajectory,
-    BatchedMVAResult,
-    ScenarioFailure,
-)
+from ..engine.batched import STACK_CONTAINERS, ScenarioFailure
 from ..solvers.scenario import Scenario, WorkloadClass
 from ..solvers.validation import SolverInputError
 
@@ -413,132 +408,63 @@ def _decode_failures(payload) -> tuple[ScenarioFailure, ...]:
     )
 
 
-def _maybe_pack(arr) -> dict | None:
-    return None if arr is None else _pack_array(arr)
-
-
-def _maybe_unpack(raw) -> np.ndarray | None:
-    return None if raw is None else _unpack_array(raw, dtype=float)
-
-
 def encode_stack_result(result) -> dict:
     """JSON-ready form of a batched sub-stack (the ``solve_shard`` body).
 
-    Every trajectory array is packed via :func:`_pack_array` (the raw
-    IEEE-754 buffer, so round-trips are bit-exact and cost memcpy, not
-    float parsing), plus the isolated-failure records so a remote shard
-    degrades exactly like a local one.  Three container kinds mirror the
-    checkpoint containers: ``batched-stack`` (single-class),
-    ``multiclass-stack`` (full-population multi-class) and
+    Laid out by the container's
+    :class:`~repro.engine.batched.StackLayout`: every array is packed via
+    :func:`_pack_array` (the raw IEEE-754 buffer, so round-trips are
+    bit-exact and cost memcpy, not float parsing), a tuple population
+    vector rides as a plain int list, and the isolated-failure records
+    come along so a remote shard degrades exactly like a local one.  The
+    ``kind`` names the container: ``batched-stack`` (single-class),
+    ``multiclass-stack`` (full-population multi-class) or
     ``multiclass-trajectory-stack`` (mix sweeps).
     """
-    if isinstance(result, BatchedMVAResult):
-        return {
-            "kind": "batched-stack",
-            "solver": result.solver,
-            "backend": result.backend,
-            "station_names": list(result.station_names),
-            "populations": _pack_array(result.populations),
-            "think_times": _pack_array(result.think_times),
-            "throughput": _pack_array(result.throughput),
-            "response_time": _pack_array(result.response_time),
-            "queue_lengths": _pack_array(result.queue_lengths),
-            "residence_times": _pack_array(result.residence_times),
-            "utilizations": _pack_array(result.utilizations),
-            "demands_used": _maybe_pack(result.demands_used),
-            "failures": _encode_failures(result),
-        }
-    if isinstance(result, BatchedMultiClassResult):
-        return {
-            "kind": "multiclass-stack",
-            "solver": result.solver,
-            "backend": result.backend,
-            "station_names": list(result.station_names),
-            "class_names": list(result.class_names),
-            "populations": [int(n) for n in result.populations],
-            "think_times": _pack_array(result.think_times),
-            "throughput": _pack_array(result.throughput),
-            "response_time": _pack_array(result.response_time),
-            "queue_lengths": _pack_array(result.queue_lengths),
-            "queue_lengths_by_class": _pack_array(result.queue_lengths_by_class),
-            "utilizations": _pack_array(result.utilizations),
-            "demands_used": _maybe_pack(result.demands_used),
-            "failures": _encode_failures(result),
-        }
-    if isinstance(result, BatchedMultiClassTrajectory):
-        return {
-            "kind": "multiclass-trajectory-stack",
-            "solver": result.solver,
-            "backend": result.backend,
-            "station_names": list(result.station_names),
-            "class_names": list(result.class_names),
-            "totals": _pack_array(result.totals),
-            "populations": _pack_array(result.populations),
-            "think_times": _pack_array(result.think_times),
-            "throughput": _pack_array(result.throughput),
-            "response_time": _pack_array(result.response_time),
-            "utilizations": _pack_array(result.utilizations),
-            "demands_used": _maybe_pack(result.demands_used),
-            "failures": _encode_failures(result),
-        }
-    raise ProtocolError(
-        f"only batched stacks cross the wire, got {type(result).__name__}"
-    )
+    if type(result) not in STACK_CONTAINERS:
+        raise ProtocolError(
+            f"only batched stacks cross the wire, got {type(result).__name__}"
+        )
+    layout = result.layout
+    payload: dict[str, Any] = {
+        "kind": layout.wire_kind,
+        "solver": result.solver,
+        "backend": result.backend,
+    }
+    for name in layout.labels:
+        payload[name] = list(getattr(result, name))
+    for name in (*layout.index, *layout.shared, *layout.stacked):
+        value = getattr(result, name)
+        if isinstance(value, tuple):
+            payload[name] = [int(n) for n in value]
+        else:
+            payload[name] = None if value is None else _pack_array(value)
+    payload["failures"] = _encode_failures(result)
+    return payload
 
 
 def decode_stack_result(payload: Mapping[str, Any]):
     """Rebuild the batched result a worker shipped back."""
     try:
         kind = payload.get("kind")
-        if kind == "batched-stack":
-            return BatchedMVAResult(
-                populations=_unpack_array(payload["populations"]),
-                throughput=_unpack_array(payload["throughput"], dtype=float),
-                response_time=_unpack_array(payload["response_time"], dtype=float),
-                queue_lengths=_unpack_array(payload["queue_lengths"], dtype=float),
-                residence_times=_unpack_array(payload["residence_times"], dtype=float),
-                utilizations=_unpack_array(payload["utilizations"], dtype=float),
-                station_names=tuple(str(n) for n in payload["station_names"]),
-                think_times=_unpack_array(payload["think_times"], dtype=float),
-                solver=str(payload["solver"]),
-                demands_used=_maybe_unpack(payload["demands_used"]),
-                backend=payload.get("backend"),
-                failures=_decode_failures(payload),
-            )
-        if kind == "multiclass-stack":
-            return BatchedMultiClassResult(
-                populations=tuple(int(n) for n in payload["populations"]),
-                class_names=tuple(str(n) for n in payload["class_names"]),
-                throughput=_unpack_array(payload["throughput"], dtype=float),
-                response_time=_unpack_array(payload["response_time"], dtype=float),
-                queue_lengths=_unpack_array(payload["queue_lengths"], dtype=float),
-                queue_lengths_by_class=_unpack_array(
-                    payload["queue_lengths_by_class"], dtype=float
-                ),
-                utilizations=_unpack_array(payload["utilizations"], dtype=float),
-                station_names=tuple(str(n) for n in payload["station_names"]),
-                think_times=_unpack_array(payload["think_times"], dtype=float),
-                solver=str(payload["solver"]),
-                demands_used=_maybe_unpack(payload["demands_used"]),
-                backend=payload.get("backend"),
-                failures=_decode_failures(payload),
-            )
-        if kind == "multiclass-trajectory-stack":
-            return BatchedMultiClassTrajectory(
-                class_names=tuple(str(n) for n in payload["class_names"]),
-                station_names=tuple(str(n) for n in payload["station_names"]),
-                totals=_unpack_array(payload["totals"]),
-                populations=_unpack_array(payload["populations"]),
-                throughput=_unpack_array(payload["throughput"], dtype=float),
-                response_time=_unpack_array(payload["response_time"], dtype=float),
-                utilizations=_unpack_array(payload["utilizations"], dtype=float),
-                think_times=_unpack_array(payload["think_times"], dtype=float),
-                solver=str(payload["solver"]),
-                demands_used=_maybe_unpack(payload["demands_used"]),
-                backend=payload.get("backend"),
-                failures=_decode_failures(payload),
-            )
-        raise ValueError(f"unknown stack-result kind {kind!r}")
+        cls = next((c for c in STACK_CONTAINERS if c.layout.wire_kind == kind), None)
+        if cls is None:
+            raise ValueError(f"unknown stack-result kind {kind!r}")
+        layout = cls.layout
+        fields: dict[str, Any] = {
+            name: tuple(str(n) for n in payload[name]) for name in layout.labels
+        }
+        for name in layout.index:
+            fields[name] = _unpack_array(payload[name])
+        for name in (*layout.shared, *layout.stacked):
+            raw = payload[name]
+            fields[name] = None if raw is None else _unpack_array(raw, dtype=float)
+        return cls(
+            solver=str(payload["solver"]),
+            backend=payload.get("backend"),
+            failures=_decode_failures(payload),
+            **fields,
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise ProtocolError(f"malformed stack result: {exc}") from None
 

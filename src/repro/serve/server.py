@@ -51,6 +51,7 @@ from ..solvers.cache import SolverCache
 from .protocol import (
     MAX_LINE_BYTES,
     ProtocolError,
+    _encode_failures,
     decode_request,
     decode_scenario,
     encode_result,
@@ -366,60 +367,23 @@ class SolverServer:
             payload = {"kind": "at", "solver": result.solver, **result.at(int(at))}
         return payload, _provenance_label(counts)
 
-    def _op_solve_stack(self, request):
-        raw = request.get("scenarios")
-        if not isinstance(raw, list) or not raw:
-            raise ProtocolError("solve_stack needs a non-empty scenarios list")
-        scenarios = [decode_scenario(item) for item in raw]
-        method = str(request.get("method", "auto"))
-        options = dict(request.get("options") or {})
-        errors = str(request.get("errors", "isolate"))
+    def _solve_scenarios(self, op, request, start=0, **stack_options):
+        """Decode, fingerprint-verify and solve a ``scenarios`` list.
 
-        result, counts = self._classified(
-            lambda: solve_stack(
-                scenarios, method=method, cache=self.cache, errors=errors, **options
-            )
-        )
-        payload = {
-            "kind": "batched",
-            "solver": result.solver,
-            "count": result.n_scenarios,
-            "peak_throughput": result.peak_throughput().tolist(),
-            "failures": [
-                {
-                    "index": f.index,
-                    "fingerprint": f.fingerprint,
-                    "solver": f.solver,
-                    "error": f.error,
-                    "retries": f.retries,
-                }
-                for f in result.failures
-            ],
-        }
-        return payload, _provenance_label(counts)
-
-    def _op_solve_shard(self, request):
-        """One fabric shard: solve a sub-stack and ship the full arrays back.
-
-        The remote-sweep workhorse.  Unlike ``solve_stack`` (a summary
-        view for interactive clients) this returns every trajectory
-        array bit-exactly, plus the shard's ``start`` offset so the
-        dispatcher can re-assemble ``_concat_results`` order.  Each
-        scenario's wire fingerprint is verified against the
-        ``fingerprints`` list the client computed from its *original*
-        scenarios — a mismatch means the codec could not express the
-        demand model exactly, and the shard must be solved locally.
+        The one path behind ``solve_stack`` and ``solve_shard``.  When the
+        request carries ``fingerprints`` (computed by the client from its
+        *original* scenarios), each decoded scenario must hash to its
+        entry — a mismatch means the codec could not express the demand
+        model exactly, and the stack must be solved locally.
         """
         raw = request.get("scenarios")
         if not isinstance(raw, list) or not raw:
-            raise ProtocolError("solve_shard needs a non-empty scenarios list")
+            raise ProtocolError(f"{op} needs a non-empty scenarios list")
         scenarios = [decode_scenario(item) for item in raw]
         expected = request.get("fingerprints")
         if expected is not None:
             if not isinstance(expected, list) or len(expected) != len(scenarios):
-                raise ProtocolError(
-                    "solve_shard fingerprints must parallel the scenarios list"
-                )
+                raise ProtocolError(f"{op} fingerprints must parallel the scenarios list")
             for idx, (sc, fp) in enumerate(zip(scenarios, expected)):
                 if sc.fingerprint() != fp:
                     raise ProtocolError(
@@ -429,21 +393,46 @@ class SolverServer:
                         "solve this shard locally"
                     )
         method = str(request.get("method", "auto"))
+        options = dict(request.get("options") or {})
+
+        def run():
+            with scenario_offset(start):
+                return solve_stack(
+                    scenarios, method=method, cache=self.cache, **stack_options, **options
+                )
+
+        return self._classified(run)
+
+    def _op_solve_stack(self, request):
+        """Summary view of a stack solve, for interactive clients."""
+        result, counts = self._solve_scenarios(
+            "solve_stack", request, errors=str(request.get("errors", "isolate"))
+        )
+        payload = {
+            "kind": "batched",
+            "solver": result.solver,
+            "count": result.n_scenarios,
+            "peak_throughput": result.peak_throughput().tolist(),
+            "failures": _encode_failures(result),
+        }
+        return payload, _provenance_label(counts)
+
+    def _op_solve_shard(self, request):
+        """One fabric shard: solve a sub-stack and ship the full arrays back.
+
+        The remote-sweep workhorse: every trajectory array returns
+        bit-exactly, plus the shard's ``start`` offset so the dispatcher
+        can re-assemble ``_concat_results`` order.
+        """
         backend = str(request.get("backend", "auto"))
         if backend not in ("auto", "serial", "batched"):
             raise ProtocolError(
                 f"solve_shard backend must be auto/serial/batched, got {backend!r}"
             )
         start = int(request.get("start", 0))
-        options = dict(request.get("options") or {})
-
-        def run():
-            with scenario_offset(start):
-                return solve_stack(
-                    scenarios, method=method, backend=backend, cache=self.cache, **options
-                )
-
-        result, counts = self._classified(run)
+        result, counts = self._solve_scenarios(
+            "solve_shard", request, start=start, backend=backend
+        )
         return (
             {**encode_stack_result(result), "start": start},
             _provenance_label(counts),

@@ -15,14 +15,16 @@ The facade turns solver choice into a policy:
   (:meth:`Scenario.fingerprint` + method + backend + canonicalized
   options).  ``cache=`` defaults to the process-global cache; pass
   ``None`` to bypass or a private :class:`SolverCache` to isolate;
-* **backend routing** hands stacks to a pluggable
-  :mod:`repro.engine.backends` execution backend: ``batched`` engine
-  kernels when the method has one, a ``serial`` per-scenario loop when
-  it does not, and a ``process-sharded`` fan-out (contiguous sub-stacks
-  over :func:`~repro.engine.sweep.parallel_map` workers) that ``auto``
-  picks for large stacks.  Callers never branch on the backend — every
-  path returns the same :class:`~repro.engine.batched.BatchedMVAResult`,
-  stamped with the backend that produced it.
+* **backend routing** hands stacks to
+  :func:`repro.engine.backends.get_backend`, which maps every backend
+  name onto one of two mechanisms: the in-process runner (``batched``
+  engine kernels when the method has one, a ``serial`` per-scenario
+  loop when it does not) or the fabric's
+  :class:`~repro.engine.fabric.Dispatcher` (``process-sharded`` — what
+  ``auto`` picks for large stacks — ``resilient`` and ``remote``).
+  Callers never branch on the backend — every path returns the same
+  :class:`~repro.engine.batched.BatchedMVAResult`, stamped with the
+  backend that produced it.
 
 ``solve`` accepts a single :class:`Scenario` (returns the solver's
 native result — a canonical :class:`~repro.core.results.MVAResult` for
@@ -528,10 +530,11 @@ def solve_stack(
     never branch on the backend.  ``backend="batched"`` insists on a
     kernel; ``"serial"`` (alias ``"scalar"``) forces the per-scenario
     loop; ``"process-sharded"`` forces the fan-out; ``"resilient"``
-    routes through the :mod:`repro.engine.resilience` degradation chain
-    (sharded → batched → serial) with bounded retries.  The result's
-    ``backend`` attribute records which one ran, and ``solver`` names
-    the concrete method (``stacked-<name>`` for serial runs).
+    routes through the :class:`~repro.engine.fabric.Dispatcher`
+    degradation chain (sharded → batched → serial) with bounded
+    retries.  The result's ``backend`` attribute records which one ran,
+    and ``solver`` names the concrete method (``stacked-<name>`` for
+    serial runs).
 
     Fault-tolerance knobs
     ---------------------
@@ -662,44 +665,18 @@ def solve_stack(
             hit, _ = store.fetch(key)
             if hit is not None:
                 return hit
+    # One seam: get_backend maps the name to the in-process runner or to
+    # a Dispatcher preset, and either one honours errors= itself.
+    dispatch: dict[str, Any] = {"policy": retry_policy, "checkpoint": checkpoint}
+    membership, ephemeral = _resolve_fleet(fleet)
     if resolved == "remote":
-        membership, ephemeral = _resolve_fleet(fleet)
-        try:
-            runner = get_backend(
-                "remote",
-                hosts=hosts if hosts is not None else (),
-                membership=membership,
-                policy=retry_policy,
-                checkpoint=checkpoint,
-                errors=errors,
-            )
-            result = runner.run(spec, scenarios, options)
-        finally:
-            if ephemeral is not None:
-                ephemeral.stop()
-    elif resolved == "resilient":
-        runner = get_backend(
-            "resilient",
-            workers=workers,
-            policy=retry_policy,
-            checkpoint=checkpoint,
-            errors=errors,
-        )
+        dispatch.update(hosts=hosts if hosts is not None else (), membership=membership)
+    try:
+        runner = get_backend(resolved, workers=workers, errors=errors, **dispatch)
         result = runner.run(spec, scenarios, options)
-    elif errors == "isolate":
-        try:
-            result = get_backend(resolved, workers=workers).run(spec, scenarios, options)
-        except Exception:
-            from ..engine.resilience import solve_isolated, solve_isolated_batched
-
-            if resolved != "serial" and spec.batched_kernel is not None:
-                # Mask the poisoned scenarios out of the kernel instead of
-                # demoting every healthy row to the serial loop.
-                result = solve_isolated_batched(spec, scenarios, options)
-            else:
-                result = solve_isolated(spec, scenarios, options)
-    else:
-        result = get_backend(resolved, workers=workers).run(spec, scenarios, options)
+    finally:
+        if ephemeral is not None:
+            ephemeral.stop()
     if not result.failures and result.backend != resolved:
         result = replace(result, backend=resolved)
     if store is not None and key is not None and not result.failures:

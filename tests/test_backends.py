@@ -246,3 +246,107 @@ class TestCapabilityMatrix:
         out = capsys.readouterr().out
         assert "scenarios solved in one batch" in out
         assert "[process-sharded]" in out
+
+
+class _Curve:
+    """Varying demand ``base + 0.0005 n`` — or, when ``bad``, one that
+    raises on every evaluation (a deterministically broken scenario)."""
+
+    def __init__(self, base, bad=False):
+        self.base = base
+        self.bad = bad
+
+    def __call__(self, n):
+        if self.bad:
+            raise ValueError("broken demand curve")
+        return self.base + 0.0005 * np.asarray(n, dtype=float)
+
+
+def _single_class_stack(bad):
+    return [
+        Scenario(
+            ClosedNetwork(
+                [
+                    Station("web", _Curve(0.05 + 0.01 * i, bad=i == bad), servers=2),
+                    Station("db", demand=0.03),
+                ],
+                think_time=1.0,
+            ),
+            12,
+        )
+        for i in range(5)
+    ]
+
+
+def _multiclass_stack(bad):
+    from repro.solvers import WorkloadClass
+
+    net = ClosedNetwork([Station("web", 0.0), Station("db", 0.0)], think_time=1.0)
+    return [
+        Scenario(
+            net,
+            6,
+            classes=(
+                WorkloadClass(
+                    "a", 2, {"web": _Curve(0.02 + 0.01 * i, bad=i == bad), "db": 0.05},
+                    think_time=1.0,
+                ),
+                WorkloadClass("b", 1, {"web": 0.01, "db": 0.04}, think_time=0.5),
+            ),
+        )
+        for i in range(5)
+    ]
+
+
+def _preset_kwargs(name):
+    from repro.engine import RetryPolicy
+
+    if name == "process-sharded":
+        return {"workers": 2}
+    if name == "resilient":
+        return {"workers": 2, "retry_policy": RetryPolicy(backoff_base=0.0)}
+    return {}
+
+
+PRESETS = ("serial", "batched", "process-sharded", "resilient")
+BAD = 2
+
+
+class TestPresetParity:
+    """Every backend preset fails, isolates and survives the same way.
+
+    A deterministically broken scenario must raise the same exception
+    type under ``errors="raise"`` and become the same NaN row and failure
+    index under ``errors="isolate"``, whatever the mechanism; survivor
+    rows are bit-identical across presets.
+    """
+
+    @pytest.mark.parametrize("make", [_single_class_stack, _multiclass_stack])
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_raise_mode_same_exception_type(self, make, preset):
+        with pytest.raises(ValueError, match="broken demand curve"):
+            solve_stack(make(BAD), backend=preset, cache=None, **_preset_kwargs(preset))
+
+    @pytest.mark.parametrize("make", [_single_class_stack, _multiclass_stack])
+    def test_isolate_mode_same_failures_and_survivors(self, make):
+        results = {
+            preset: solve_stack(
+                make(BAD), backend=preset, cache=None, errors="isolate",
+                **_preset_kwargs(preset),
+            )
+            for preset in PRESETS
+        }
+        reference = results["serial"]
+        survivors = [i for i in range(5) if i != BAD]
+        for preset, result in results.items():
+            assert result.failed_indices == (BAD,), preset
+            (failure,) = result.failures
+            assert failure.error == "ValueError: broken demand curve", preset
+            for field in reference.layout.stacked:
+                if field in ("think_times", "demands_used"):
+                    continue
+                value = getattr(result, field)
+                assert np.isnan(value[BAD]).all(), (preset, field)
+                assert np.array_equal(
+                    value[survivors], getattr(reference, field)[survivors]
+                ), (preset, field)

@@ -22,10 +22,10 @@ from repro.core.mvasd import mvasd
 from repro.core.network import ClosedNetwork, Station
 from repro.engine import (
     FaultPlan,
-    ResilientBackend,
     RetryPolicy,
     SweepCheckpoint,
     batched_exact_mva,
+    get_backend,
     parallel_map,
 )
 from repro.engine import faults, sweep
@@ -149,7 +149,7 @@ class TestRetryPolicy:
 
     def test_bad_errors_mode_rejected(self):
         with pytest.raises(ValueError, match="errors"):
-            ResilientBackend(errors="ignore")
+            get_backend("resilient", errors="ignore")
 
 
 class TestErrorIsolation:
